@@ -61,10 +61,12 @@ cover:
 serve:
 	$(GO) run ./cmd/rdserved -addr :8347 -cache-dir out/rdcache
 
-# Short fuzz passes over the address mapper and the device protocol.
+# Short fuzz passes over the address mapper, the device protocol, and
+# the rdtrace/v1 wire decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzMapUnmap -fuzztime=10s ./internal/addrmap/
 	$(GO) test -fuzz=FuzzDeviceDo -fuzztime=10s ./internal/rdram/
+	$(GO) test -fuzz=FuzzDecodeWire -fuzztime=10s ./internal/tracegen/
 
 clean:
 	rm -rf out

@@ -381,6 +381,14 @@ func (c *Cache) Do(ctx context.Context, sc sim.Scenario, run Runner) (sim.Outcom
 	if err != nil {
 		return sim.Outcome{}, false, err
 	}
+	return c.DoKey(ctx, key, sc, run)
+}
+
+// DoKey is Do for a caller that already holds the scenario's key, so a
+// large trace scenario is hashed once per request rather than once per
+// layer. key must be Key(sc); a different key files the outcome under
+// the wrong content address.
+func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runner) (sim.Outcome, bool, error) {
 	if out, ok, src := c.lookup(ctx, key); ok {
 		c.count(func(s *Stats) {
 			s.Hits++

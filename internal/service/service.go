@@ -100,8 +100,9 @@ type JobStatus struct {
 // Job tracks one submission (a single scenario or a whole sweep) through
 // the queue. Results land in input order as scenarios finish.
 type Job struct {
-	id  string
-	ctx context.Context
+	id   string
+	ctx  context.Context
+	keys []string // keys[i] is scenario i's resultcache.Key, "" when keying failed; set at construction, never mutated
 
 	mu        sync.Mutex
 	state     State             // guarded by mu
@@ -115,6 +116,11 @@ type Job struct {
 
 // ID returns the job's queryable identifier.
 func (j *Job) ID() string { return j.id }
+
+// Key returns scenario i's result-cache key, computed once at Submit,
+// or "" when keying failed (the scenario's result then carries the
+// error).
+func (j *Job) Key(i int) string { return j.keys[i] }
 
 // Done returns a channel closed when every scenario in the job is
 // terminal.
@@ -203,11 +209,14 @@ func (j *Job) finish(i int, res ScenarioResult) {
 // task is one scenario of one job, the unit the queue and worker pool
 // move around. The timestamps delimit its queue life: submitted is set at
 // Submit, batched when the dispatcher coalesces it — runTask turns the
-// gaps into queued and batch_wait spans on the request's trace.
+// gaps into queued and batch_wait spans on the request's trace. keyErr
+// is why Submit could not key the scenario; it fails the scenario, not
+// the job, when the task runs.
 type task struct {
 	job       *Job
 	i         int
 	sc        sim.Scenario
+	keyErr    error
 	submitted time.Time
 	batched   time.Time
 }
@@ -321,19 +330,24 @@ func (s *Service) SubmitOne(ctx context.Context, sc sim.Scenario) (*Job, error) 
 // Submit queues a sweep as one job, all-or-nothing: every scenario is
 // validated first (a malformed sweep is rejected whole, before anything
 // runs) and the queue either has room for all of them or the submission
-// fails with ErrQueueFull. ctx scopes the job's execution — when it is
-// canceled, scenarios not yet started fail with the context's error
-// instead of running. ctx must be non-nil, per the usual context
-// contract; use context.Background() at the call site for a job that
-// should never be canceled.
+// fails with ErrQueueFull. Each scenario is keyed here, once (Job.Key);
+// a scenario that validates but cannot be keyed fails on its own when
+// it runs, as it would inside the cache. ctx scopes the job's execution
+// — when it is canceled, scenarios not yet started fail with the
+// context's error instead of running. ctx must be non-nil, per the
+// usual context contract; use context.Background() at the call site for
+// a job that should never be canceled.
 func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) {
 	if len(scs) == 0 {
 		return nil, ErrEmptyJob
 	}
+	keys := make([]string, len(scs))
+	keyErrs := make([]error, len(scs))
 	for i, sc := range scs {
 		if err := sc.Validate(); err != nil {
 			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
 		}
+		keys[i], keyErrs[i] = resultcache.Key(sc)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -348,6 +362,7 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 	job := &Job{
 		id:      fmt.Sprintf("job-%06d", s.nextJob),
 		ctx:     ctx,
+		keys:    keys,
 		state:   StateQueued,
 		results: make([]*ScenarioResult, len(scs)),
 		ready:   make([]chan struct{}, len(scs)),
@@ -361,7 +376,7 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 	s.evictJobsLocked()
 	now := s.obsv.Now()
 	for i, sc := range scs {
-		s.queue = append(s.queue, &task{job: job, i: i, sc: sc, submitted: now})
+		s.queue = append(s.queue, &task{job: job, i: i, sc: sc, keyErr: keyErrs[i], submitted: now})
 	}
 	s.cond.Broadcast()
 	return job, nil
@@ -492,6 +507,10 @@ func (s *Service) runTask(t *task) {
 		t.job.finish(t.i, ScenarioResult{Label: t.sc.Label(), Error: context.Cause(t.job.ctx).Error()})
 		return
 	}
+	if t.keyErr != nil {
+		t.job.finish(t.i, ScenarioResult{Label: t.sc.Label(), Error: t.keyErr.Error()})
+		return
+	}
 	// Telemetry rides along on real executions only: the collector is
 	// attached inside the cache's runner, so hits and deduped followers —
 	// which run nothing — aggregate nothing. Attaching a collector never
@@ -501,7 +520,7 @@ func (s *Service) runTask(t *task) {
 	var col *telemetry.Collector
 	var simStart, simEnd time.Time
 	cacheStart := s.obsv.Now()
-	out, cached, err := s.cache.Do(t.job.ctx, t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
+	out, cached, err := s.cache.DoKey(t.job.ctx, t.job.Key(t.i), t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
 		simStart = s.obsv.Now()
 		col = telemetry.New(telemetry.Options{})
 		sc.Telemetry = col

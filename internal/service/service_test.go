@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/resultcache"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/stream"
+	"rdramstream/internal/tracegen"
 )
 
 func scenario(n int) sim.Scenario {
@@ -101,6 +103,69 @@ func TestRunTaskPanicLandsInScenarioResult(t *testing.T) {
 	}
 	if job.Status().State != StateDone {
 		t.Error("job did not reach a terminal state after the panic")
+	}
+}
+
+// Submit keys every scenario once; the job hands that key to the cache
+// and to the handlers, so it must be the scenario's resultcache.Key.
+func TestSubmitKeysScenarios(t *testing.T) {
+	s := newService(t, Config{Workers: 2})
+	tsc := scenario(0)
+	tsc.KernelName = ""
+	tsc.Workload = &tracegen.Spec{Program: &tracegen.Program{Phases: []tracegen.Phase{{Pattern: tracegen.PatternStrided, Accesses: 512}}}}
+	scs := []sim.Scenario{scenario(64), tsc}
+	job, err := s.Submit(context.Background(), scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range scs {
+		want, err := resultcache.Key(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := job.Key(i); got != want {
+			t.Errorf("scenario %d: job key %q, want %q", i, got, want)
+		}
+		res, err := job.WaitResult(context.Background(), i)
+		if err != nil || res.Error != "" {
+			t.Fatalf("scenario %d: %v %s", i, err, res.Error)
+		}
+		if out, ok := s.Cache().Peek(want); !ok || !reflect.DeepEqual(out, *res.Outcome) {
+			t.Errorf("scenario %d: outcome not cached under its key", i)
+		}
+	}
+}
+
+// A scenario Submit could not key fails alone, with the key's error,
+// when it runs; the rest of its job runs normally.
+func TestKeyErrorFailsOnlyItsScenario(t *testing.T) {
+	s := newService(t, Config{Workers: 1})
+	key, err := resultcache.Key(scenario(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &Job{
+		id: "job-key", ctx: context.Background(), state: StateQueued,
+		keys:    []string{"", key},
+		results: make([]*ScenarioResult, 2),
+		ready:   []chan struct{}{make(chan struct{}), make(chan struct{})},
+		done:    make(chan struct{}),
+	}
+	keyErr := errors.New("sim: cannot canonicalize")
+	s.runTask(&task{job: job, i: 0, sc: scenario(128), keyErr: keyErr})
+	s.runTask(&task{job: job, i: 1, sc: scenario(64)})
+	st := job.Status()
+	if st.State != StateDone || st.Failed != 1 {
+		t.Fatalf("status = %+v, want done with one failure", st)
+	}
+	if got := st.Results[0].Error; got != keyErr.Error() {
+		t.Errorf("scenario 0 error = %q, want %q", got, keyErr)
+	}
+	if st.Results[1].Error != "" || st.Results[1].Outcome == nil {
+		t.Errorf("scenario 1 = %+v, want an outcome", st.Results[1])
 	}
 }
 

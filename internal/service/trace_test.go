@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/resultcache"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/tracegen"
 	"rdramstream/internal/workload"
@@ -63,6 +64,9 @@ func TestTraceEndpointByteIdentical(t *testing.T) {
 	}
 	if first.Cached {
 		t.Error("first POST reported a cache hit")
+	}
+	if key, err := resultcache.Key(local); err != nil || first.Key != key {
+		t.Errorf("response key %s, want resultcache.Key %s (err %v)", first.Key, key, err)
 	}
 
 	second, err := cl.Trace(context.Background(), sc, "kv", accs)

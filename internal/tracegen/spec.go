@@ -103,14 +103,22 @@ func (s *Spec) Canonical() (Spec, error) {
 // back from a file all digest identically.
 func DigestOf(accs []workload.TraceAccess) string {
 	h := sha256.New()
-	var buf [9]byte
+	// Records are batched so the hash sees a few large writes rather
+	// than one 9-byte write per access.
+	const rec, batch = 9, 512
+	var buf [rec * batch]byte
+	n := 0
 	for _, a := range accs {
-		buf[0] = 'R'
+		buf[n] = 'R'
 		if a.Write {
-			buf[0] = 'W'
+			buf[n] = 'W'
 		}
-		binary.BigEndian.PutUint64(buf[1:], uint64(a.Addr))
-		h.Write(buf[:])
+		binary.BigEndian.PutUint64(buf[n+1:n+rec], uint64(a.Addr))
+		if n += rec; n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
 	}
+	h.Write(buf[:n])
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -218,3 +218,20 @@ func TestCanonicalDigestMatchesMaterialized(t *testing.T) {
 		t.Errorf("flipping an op did not change the digest (err %v)", err)
 	}
 }
+
+// The content address is part of every trace's cache key and of the
+// fabric's sharding, so its bytes are pinned: a trace longer than the
+// digest's batch (and not a multiple of it) must keep this exact hex.
+func TestDigestOfPinned(t *testing.T) {
+	accs, err := mustProgram(t, "strided:n=3000,write=0.25;chase:n=1500,footprint=65536", 11).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "e2816e2ff198a8bb3349a2ca04af4ddbc5c3bd21292d3f3d86718853490d6b17"
+	if got := DigestOf(accs); got != want {
+		t.Errorf("DigestOf = %s, want %s", got, want)
+	}
+	if got, want := DigestOf(nil), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"; got != want {
+		t.Errorf("DigestOf(nil) = %s, want the empty SHA-256 %s", got, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"rdramstream/internal/workload"
 )
@@ -41,6 +42,9 @@ type Line struct {
 // Encode writes the NDJSON trace: header line, then one Line per
 // access. The encoding is deterministic — fixed field order, no
 // timestamps — so the same trace always encodes to the same bytes.
+// Access lines are rendered byte-for-byte as json.Marshal renders a
+// Line, which is also the exact shape ReadAccesses matches without a
+// JSON decoder.
 func Encode(w io.Writer, name string, accs []workload.TraceAccess) error {
 	bw := bufio.NewWriter(w)
 	hdr, err := json.Marshal(Header{Format: FormatV1, Name: name, Accesses: len(accs)})
@@ -49,17 +53,17 @@ func Encode(w io.Writer, name string, accs []workload.TraceAccess) error {
 	}
 	bw.Write(hdr)
 	bw.WriteByte('\n')
+	var ln []byte
 	for _, a := range accs {
-		op := "R"
+		ln = ln[:0]
 		if a.Write {
-			op = "W"
+			ln = append(ln, `{"op":"W","addr":`...)
+		} else {
+			ln = append(ln, `{"op":"R","addr":`...)
 		}
-		ln, err := json.Marshal(Line{Op: op, Addr: a.Addr})
-		if err != nil {
-			return err
-		}
+		ln = strconv.AppendInt(ln, a.Addr, 10)
+		ln = append(ln, '}', '\n')
 		bw.Write(ln)
-		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
@@ -138,7 +142,7 @@ func (d *Decoder) ReadAccesses(want int) ([]workload.TraceAccess, error) {
 	if want <= 0 || want > MaxAccesses {
 		return nil, fmt.Errorf("tracegen: header declares %d accesses, want (0, %d]", want, MaxAccesses)
 	}
-	out := make([]workload.TraceAccess, 0, want)
+	var out []workload.TraceAccess
 	for len(out) < want {
 		b, line, ok, err := d.next()
 		if err != nil {
@@ -147,22 +151,20 @@ func (d *Decoder) ReadAccesses(want int) ([]workload.TraceAccess, error) {
 		if !ok {
 			return nil, fmt.Errorf("tracegen: trace truncated: header declared %d accesses, body ends after %d", want, len(out))
 		}
-		var l Line
-		if err := decodeLine(b, line, &l); err != nil {
-			return nil, err
+		a, ok := parseLine(b)
+		if !ok {
+			if a, err = decodeAccess(b, line); err != nil {
+				return nil, err
+			}
 		}
-		var write bool
-		switch l.Op {
-		case "R":
-		case "W":
-			write = true
-		default:
-			return nil, fmt.Errorf("tracegen: trace line %d: unknown op %q (want R or W)", line, l.Op)
+		if out == nil {
+			// The header is untrusted: a few bytes can declare
+			// MaxAccesses. So nothing is allocated before the first
+			// line arrives, the first allocation is capped, and the
+			// slice grows with the lines that actually follow.
+			out = make([]workload.TraceAccess, 0, min(want, maxPrealloc))
 		}
-		if l.Addr < 0 {
-			return nil, fmt.Errorf("tracegen: trace line %d: negative address %d", line, l.Addr)
-		}
-		out = append(out, workload.TraceAccess{Addr: l.Addr, Write: write})
+		out = append(out, a)
 	}
 	if b, line, ok, err := d.next(); err != nil {
 		return nil, err
@@ -170,6 +172,77 @@ func (d *Decoder) ReadAccesses(want int) ([]workload.TraceAccess, error) {
 		return nil, fmt.Errorf("tracegen: trace line %d: trailing garbage after the %d declared accesses: %q", line, want, truncate(b, 40))
 	}
 	return out, nil
+}
+
+// maxPrealloc caps the capacity ReadAccesses allocates when the first
+// access line arrives (1 MiB of TraceAccess); past it the slice grows
+// only as further lines arrive.
+const maxPrealloc = 1 << 16
+
+// maxFastDigits bounds the address digits parseLine accepts: any 18
+// digits fit in an int64, so the matcher never has to detect overflow.
+const maxFastDigits = 18
+
+// parseLine matches the exact access-line shape Encode writes,
+// {"op":"R","addr":<digits>} or the same with "W", and returns the
+// access it spells. It accepts only lines the strict JSON path
+// (decodeAccess) also accepts, with the same value: the address has no
+// sign, no leading zero, and at most maxFastDigits digits. Anything
+// else reports false and goes through decodeAccess, so the accepted set
+// and every error message are the JSON path's by construction.
+//
+// rdlint:hotpath
+func parseLine(b []byte) (workload.TraceAccess, bool) {
+	const head, mid = `{"op":"`, `","addr":`
+	// Shortest line: head + op + mid + one digit + '}'.
+	if len(b) < len(head)+1+len(mid)+2 || string(b[:len(head)]) != head {
+		return workload.TraceAccess{}, false
+	}
+	var a workload.TraceAccess
+	switch b[len(head)] {
+	case 'R':
+	case 'W':
+		a.Write = true
+	default:
+		return workload.TraceAccess{}, false
+	}
+	rest := b[len(head)+1:]
+	if string(rest[:len(mid)]) != mid || rest[len(rest)-1] != '}' {
+		return workload.TraceAccess{}, false
+	}
+	digits := rest[len(mid) : len(rest)-1]
+	if len(digits) == 0 || len(digits) > maxFastDigits || (digits[0] == '0' && len(digits) > 1) {
+		return workload.TraceAccess{}, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return workload.TraceAccess{}, false
+		}
+		a.Addr = a.Addr*10 + int64(c-'0')
+	}
+	return a, true
+}
+
+// decodeAccess is the strict JSON path for one access line: any
+// spelling encoding/json accepts for a Line, then the op and address
+// checks.
+func decodeAccess(b []byte, line int) (workload.TraceAccess, error) {
+	var l Line
+	if err := decodeLine(b, line, &l); err != nil {
+		return workload.TraceAccess{}, err
+	}
+	var write bool
+	switch l.Op {
+	case "R":
+	case "W":
+		write = true
+	default:
+		return workload.TraceAccess{}, fmt.Errorf("tracegen: trace line %d: unknown op %q (want R or W)", line, l.Op)
+	}
+	if l.Addr < 0 {
+		return workload.TraceAccess{}, fmt.Errorf("tracegen: trace line %d: negative address %d", line, l.Addr)
+	}
+	return workload.TraceAccess{Addr: l.Addr, Write: write}, nil
 }
 
 // Decode reads a complete FormatV1 trace (header + accesses) — the
