@@ -7,6 +7,8 @@
 //
 //	rdtrace -kernel daxpy -n 32 -mode natural -scheme cli
 //	rdtrace -kernel copy -n 64 -mode smc -scheme pi -fifo 16 -scale 4
+//	rdtrace -trace-gen "hot-row:n=256" -trace-out t.ndjson
+//	rdtrace -trace-gen @t.ndjson -mode natural
 package main
 
 import (
@@ -17,10 +19,10 @@ import (
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/natorder"
+	"rdramstream/internal/protocheck"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/smc"
 	"rdramstream/internal/stream"
-	"rdramstream/internal/trace"
 	"rdramstream/internal/tracegen"
 	"rdramstream/internal/version"
 	"rdramstream/internal/workload"
@@ -33,7 +35,6 @@ func main() {
 	mode := flag.String("mode", "natural", "smc or natural")
 	fifo := flag.Int("fifo", 16, "SMC FIFO depth")
 	scale := flag.Int("scale", 2, "cycles per timeline character")
-	traceFile := flag.String("tracefile", "", "replay a word-address trace file (lines of \"R|W <addr>\") instead of a kernel")
 	traceGen := flag.String("trace-gen", "", "replay a generated trace: a program spec (e.g. \"hot-row:n=256\") or @file for an NDJSON trace")
 	traceSeed := flag.Int64("trace-seed", 1, "trace generator seed (with -trace-gen)")
 	traceOut := flag.String("trace-out", "", "write the materialized trace as NDJSON to this file (with -trace-gen)")
@@ -92,20 +93,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		header = fmt.Sprintf("trace %s (%d accesses), %v, %s controller", name, len(accs), scheme, *mode)
-	} else if *traceFile != "" {
-		fh, err := os.Open(*traceFile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		accs, err := workload.ParseTrace(fh)
-		fh.Close()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if _, err := workload.Replay(dev, workload.Config{Scheme: scheme, LineWords: 4}, accs); err != nil {
-			fatalf("%v", err)
-		}
-		header = fmt.Sprintf("trace %s (%d accesses), %v", *traceFile, len(accs), scheme)
 	} else {
 		f, ok := stream.FactoryByName(*kernel)
 		if !ok {
@@ -133,13 +120,13 @@ func main() {
 	fmt.Printf("%s\n\n", header)
 	fmt.Println(rec.Timeline(*scale))
 
-	s := trace.Summarize(rec.Events)
+	s := protocheck.Summarize(rec.Events)
 	fmt.Printf("cycles=%d dataBusUtil=%.1f%% reads=%d writes=%d activates=%d precharges=%d\n",
 		s.Cycles, 100*s.DataBusUtil, s.ReadPackets, s.WritePackets, s.Activates, s.Precharges)
 	fmt.Printf("turnarounds=%d meanBurst=%.1f packets largestDataGap=%d cycles\n",
 		s.Turnarounds, s.MeanBurstLen, s.LargestGap)
 
-	if viols := trace.NewChecker(cfg).Check(rec.Events); len(viols) > 0 {
+	if viols := protocheck.NewChecker(cfg).Check(rec.Events); len(viols) > 0 {
 		fmt.Printf("\nPROTOCOL VIOLATIONS (%d):\n", len(viols))
 		for _, v := range viols {
 			fmt.Println("  ", v)

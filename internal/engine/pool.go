@@ -139,3 +139,39 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 func RunAll(workers int, jobs []func() (Result, error)) ([]Result, error) {
 	return Map(workers, len(jobs), func(i int) (Result, error) { return jobs[i]() })
 }
+
+// FreeList recycles per-run scratch (plan slabs, page backing, shadow
+// images) across simulations. Unlike sync.Pool it is one list shared by
+// every thread, so a run gets back the scratch the previous run returned
+// whichever thread the scheduler moves it to, and what a sweep allocates
+// per scenario does not depend on scheduling. The collector never empties
+// it; it keeps at most GOMAXPROCS entries, each sized for the largest run
+// it has served. The zero value is ready to use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T // guarded by mu
+}
+
+// Get returns the most recently returned scratch, or a new zero one.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+// Put returns x for reuse; past the GOMAXPROCS cap it is left to the
+// collector.
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, x)
+	}
+}

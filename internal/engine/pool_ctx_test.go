@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -73,5 +74,28 @@ func TestMapCtxBackgroundMatchesMap(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("index %d: Map %d != MapCtx %d", i, a[i], b[i])
 		}
+	}
+}
+
+func TestFreeListReusesAcrossGoroutines(t *testing.T) {
+	var l FreeList[[]int]
+	a := l.Get()
+	if a == nil || *a != nil {
+		t.Fatalf("Get on an empty list = %v, want a new zero value", a)
+	}
+	done := make(chan struct{})
+	go func() { l.Put(a); close(done) }()
+	<-done
+	if b := l.Get(); b != a {
+		t.Fatal("Get did not return the scratch another goroutine put back")
+	}
+	for i := 0; i < runtime.GOMAXPROCS(0)+3; i++ {
+		l.Put(new([]int))
+	}
+	l.mu.Lock()
+	got := len(l.free)
+	l.mu.Unlock()
+	if want := runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("list holds %d entries, want the GOMAXPROCS cap %d", got, want)
 	}
 }

@@ -6,12 +6,14 @@ import (
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/cache"
+	"rdramstream/internal/engine"
 	"rdramstream/internal/fpm"
 	"rdramstream/internal/natorder"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/smc"
 	"rdramstream/internal/stream"
+	"rdramstream/internal/tracegen"
 	"rdramstream/internal/workload"
 )
 
@@ -209,35 +211,56 @@ func PolicyCross() (*Table, error) {
 	return t, nil
 }
 
+// crispPatterns are the Crisp table's three traffic patterns as
+// tracegen phases: a dense sweep, uniform random lines, and 90% of the
+// lines on eight hot pages. Each makes 6,000 line transactions, less the
+// back-to-back repeats the replay's one-line buffer merges.
+var crispPatterns = []struct {
+	label string
+	phase tracegen.Phase
+}{
+	{"sequential", tracegen.Phase{Pattern: tracegen.PatternStrided, Accesses: 24000, BurstWords: 4}},
+	{"random", tracegen.Phase{Pattern: tracegen.PatternChase, Accesses: 6000, BurstWords: 1}},
+	{"hot-pages", tracegen.Phase{Pattern: tracegen.PatternHotRow, Accesses: 6000, BurstWords: 1, HotRows: 8}},
+}
+
 // CrispEfficiency contrasts the paper's single-device streaming study with
 // the context of Crisp's "near 95% efficiency" claim the paper cites: more
-// random access patterns on a channel with many devices. Patterns come
-// from internal/workload; efficiency counts all transferred cachelines as
-// demanded (no stream semantics).
+// random access patterns on a channel with many devices. Each pattern is a
+// seeded tracegen program over 1/8 of the channel, replayed in trace order;
+// efficiency counts all transferred cachelines as demanded (no stream
+// semantics).
 func CrispEfficiency() (*Table, error) {
 	t := &Table{
 		Title:  "Random-workload efficiency — % of peak, conventional pipelined controller",
 		Header: []string{"pattern", "scheme", "1 device", "8 devices", "hit rate (8 dev)"},
 		Notes:  []string{"reproduces the §6 explanation for Crisp's 95% multimedia-PC efficiency vs this paper's single-device streaming numbers"},
 	}
-	for _, pattern := range []workload.Pattern{workload.Sequential, workload.RandomUniform, workload.HotPages} {
+	for _, p := range crispPatterns {
 		for _, scheme := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
-			row := []string{pattern.String(), scheme.String()}
+			row := []string{p.label, scheme.String()}
 			var lastHit float64
 			for _, devices := range []int{1, 8} {
 				devCfg := rdram.DefaultConfig()
 				devCfg.Geometry.Banks *= devices
 				devCfg.Geometry.DevicesOnChannel = devices
-				dev := rdram.NewDevice(devCfg)
-				res, err := workload.Run(dev, workload.Config{
-					Pattern: pattern, Requests: 6000, LineWords: 4,
-					Scheme: scheme, ReadFraction: 0.75, Seed: 11,
-				})
+				mapper, err := addrmap.New(scheme, devCfg.Geometry, 4)
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, f1(res.PercentPeak))
-				lastHit = res.HitRate
+				ph := p.phase
+				ph.WriteFraction = 0.25
+				ph.FootprintWords = mapper.CapacityWords() / 8
+				accs, err := (&tracegen.Program{Seed: 11, Phases: []tracegen.Phase{ph}}).Generate()
+				if err != nil {
+					return nil, err
+				}
+				res, err := workload.ReplayTrace(rdram.NewDevice(devCfg), workload.TraceOptions{Scheme: scheme, LineWords: 4}, accs)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, f1(engine.PercentOfPeak(res.TransferredWords, res.Cycles, devCfg.Timing.CyclesPerWordPeak())))
+				lastHit = res.Device.HitRate()
 			}
 			row = append(row, f2(lastHit))
 			t.Rows = append(t.Rows, row)

@@ -30,8 +30,9 @@ var corePackages = map[string]bool{
 	// shard key. One clock read or global-rand draw would silently split
 	// the cache and break replay byte-identity.
 	"tracegen": true,
-	// The trace replay path (ReplayTrace, Replay, ParseTrace): schedules
-	// must be pure functions of the access list and options.
+	// The trace replay path (ReplayTrace) and the conventional
+	// controller: schedules must be pure functions of the access list
+	// (or kernel) and options.
 	"workload": true,
 }
 

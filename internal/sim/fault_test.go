@@ -9,9 +9,9 @@ import (
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/engine"
 	"rdramstream/internal/fault"
+	"rdramstream/internal/protocheck"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
-	"rdramstream/internal/trace"
 )
 
 // faultScenarios is the sweep shape of cmd/sweep -faults: every controller
@@ -250,7 +250,7 @@ func TestRefreshInsideIdleSpan(t *testing.T) {
 	if out.Device.Refreshes == 0 {
 		t.Fatal("no refreshes recorded")
 	}
-	if viols := trace.NewChecker(dev).Check(events); len(viols) > 0 {
+	if viols := protocheck.NewChecker(dev).Check(events); len(viols) > 0 {
 		t.Errorf("%d protocol violations; first: %v", len(viols), viols[0])
 	}
 	skip := sc
@@ -291,7 +291,7 @@ func TestRefreshDuringSMCDrain(t *testing.T) {
 			t.Fatalf("%s: no refreshes recorded", scheme)
 		}
 		cfg := dev
-		if viols := trace.NewChecker(cfg).Check(events); len(viols) > 0 {
+		if viols := protocheck.NewChecker(cfg).Check(events); len(viols) > 0 {
 			t.Errorf("%s: %d protocol violations under refresh storms; first: %v", scheme, len(viols), viols[0])
 		}
 	}

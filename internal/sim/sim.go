@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sync"
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/cache"
@@ -386,7 +386,7 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 	dev := rdram.NewDevice(sc.Device)
-	scr := scratchPool.Get().(*scratch)
+	scr := scratchPool.Get()
 	dev.UsePagePool(&scr.pages)
 	defer func() {
 		dev.ReleasePages()
@@ -484,13 +484,17 @@ func RunAllCtx(ctx context.Context, scs []Scenario, workers int) ([]Outcome, err
 // scratch is the per-run allocation set a sweep recycles: the device's
 // page-slot backing and the seed/verify shadow image. RunKernel checks one
 // out per run and returns it when the run (including verification) is done;
-// sync.Pool keeps reuse per-worker-safe at any sweep width.
+// the shared free list keeps reuse per-worker-safe at any sweep width.
 type scratch struct {
-	pages  rdram.PagePool
-	shadow map[int64]uint64
+	pages rdram.PagePool
+	// shadows holds one shadow map per size class, indexed by the bit
+	// length of the run's element count. Clearing and ranging over a map
+	// cost its capacity, not its length, so a short run never reuses a
+	// map grown by a much longer one.
+	shadows [64]map[int64]uint64
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool engine.FreeList[scratch]
 
 // seed fills every stream element with a deterministic value derived from
 // Seed, through the mapper, and returns the shadow image. The draw order —
@@ -502,10 +506,11 @@ func seed(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, s int64, scr *
 	for _, st := range k.Streams {
 		n += st.Length
 	}
-	shadow := scr.shadow
+	class := bits.Len(uint(n))
+	shadow := scr.shadows[class]
 	if shadow == nil {
-		shadow = make(map[int64]uint64, n)
-		scr.shadow = shadow
+		shadow = make(map[int64]uint64, 1<<class)
+		scr.shadows[class] = shadow
 	} else {
 		clear(shadow)
 	}

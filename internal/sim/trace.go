@@ -38,7 +38,7 @@ func runTrace(sc Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 	dev := rdram.NewDevice(sc.Device)
-	scr := scratchPool.Get().(*scratch)
+	scr := scratchPool.Get()
 	dev.UsePagePool(&scr.pages)
 	defer func() {
 		dev.ReleasePages()

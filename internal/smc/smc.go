@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/engine"
@@ -136,7 +135,7 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 	// zero and only ever appended to, so no zeroing is needed; every
 	// element passes through its FIFO exactly once, so first use sizes the
 	// backing exactly.
-	scr := scratchPool.Get().(*runScratch)
+	scr := scratchPool.Get()
 	defer scratchPool.Put(scr)
 	words := scr.words[:0]
 	var groups []group
@@ -208,7 +207,7 @@ type runScratch struct {
 	words  []uint8
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+var scratchPool engine.FreeList[runScratch]
 
 type sim struct {
 	dev    *rdram.Device

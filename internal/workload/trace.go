@@ -1,3 +1,11 @@
+// Package workload services non-stream memory traffic: a word-level
+// address trace replayed as cacheline transactions through a pipelined
+// conventional controller (ReplayTrace), and the "conventional"
+// kernel-level policy. The paper's §6 attributes Crisp's reported ~95%
+// Direct Rambus efficiency to "more random access patterns on a system
+// with many devices", in contrast with the paper's single-device
+// streaming study; replaying tracegen's random and hot-row programs lets
+// that comparison be measured instead of asserted.
 package workload
 
 import (
@@ -8,6 +16,18 @@ import (
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/telemetry"
 )
+
+// TraceAccess is one request of an externally supplied address trace.
+// The json tags pin its spelling inside scenario JSON (tracegen.Spec
+// carries a []TraceAccess on the wire).
+//
+// rdlint:wire — trace accesses ride inside scenario JSON.
+type TraceAccess struct {
+	// Addr is the 64-bit-word address.
+	Addr int64 `json:"addr"`
+	// Write marks a store; the zero value is a load.
+	Write bool `json:"write,omitempty"`
+}
 
 // TraceOptions configures ReplayTrace.
 type TraceOptions struct {
@@ -33,9 +53,10 @@ type TraceOptions struct {
 
 // ReplayTrace services a word-level access trace and returns the
 // engine-level result the sim layer wraps into an Outcome. Consecutive
-// same-line accesses coalesce into one cacheline transaction exactly as
-// Replay does (a one-line buffer), so with Reorder off the device-level
-// schedule — and therefore every cycle count — is identical to Replay's.
+// same-line accesses coalesce into one cacheline transaction (a one-line
+// buffer). With Reorder off, transactions issue in trace order, each
+// admitted into the outstanding window as soon as a slot frees — the
+// conventional pipelined controller of many independent masters.
 // UsefulWords counts the demanded trace words; TransferredWords counts
 // whole cachelines moved.
 func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engine.Result, error) {

@@ -42,12 +42,12 @@ import (
 	"rdramstream/internal/cache"
 	"rdramstream/internal/compiler"
 	"rdramstream/internal/fault"
+	"rdramstream/internal/protocheck"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/smc"
 	"rdramstream/internal/stream"
 	"rdramstream/internal/telemetry"
-	"rdramstream/internal/trace"
 	"rdramstream/internal/tracegen"
 	"rdramstream/internal/version"
 	"rdramstream/internal/workload"
@@ -240,7 +240,7 @@ type (
 	// Scenario.Trace).
 	TraceRecorder = rdram.Recorder
 	// TraceViolation is one Direct RDRAM protocol rule broken by a trace.
-	TraceViolation = trace.Violation
+	TraceViolation = protocheck.Violation
 )
 
 // NewTelemetry builds a telemetry collector; the zero Options give
@@ -311,5 +311,5 @@ func ParseInterleave(name string) (Interleave, error) { return addrmap.ParseSche
 // protocol rules of the paper's Figure 2 — an oracle independent of the
 // device implementation. It returns every violation found (nil = clean).
 func CheckTrace(cfg DeviceConfig, events []TraceEvent) []TraceViolation {
-	return trace.NewChecker(cfg).Check(events)
+	return protocheck.NewChecker(cfg).Check(events)
 }
