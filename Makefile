@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-core bench-telemetry profile figures examples cover fuzz serve clean
+.PHONY: all build test vet lint bench profile figures examples cover fuzz serve clean
 
 all: vet lint test build
 
@@ -21,19 +21,11 @@ lint:
 test:
 	$(GO) test ./...
 
-# One benchmark per paper table/figure plus simulator micro-benchmarks,
-# then the pinned core-speed comparison (see docs/PERFORMANCE.md).
-bench: bench-core
+# One benchmark per paper table/figure plus simulator micro-benchmarks.
+# The end-to-end and per-layer benchmark is `bash perfbench/run.sh`
+# (workloads and bounds in BENCHMARK.json; see docs/PERFORMANCE.md).
+bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Core simulator speed vs the pre-refactor baselines; regenerates
-# BENCH_core_speed.json. CI gates regressions with `rdprof -check`.
-bench-core:
-	$(GO) run ./cmd/rdprof -bench-core -bench-core-out BENCH_core_speed.json
-
-# Telemetry-off vs telemetry-on timing comparison (see docs/OBSERVABILITY.md).
-bench-telemetry:
-	$(GO) run ./cmd/rdprof -bench -bench-out BENCH_telemetry.json
 
 # Full telemetry bundle (metrics.json, timeseries.csv, events.jsonl,
 # trace.json) for the canonical daxpy/SMC/PI scenario, under profile/.

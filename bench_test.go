@@ -81,8 +81,7 @@ func BenchmarkFigure7AllPanels(b *testing.B) {
 }
 
 // BenchmarkFigure7Serial regenerates the sixteen-panel grid on one worker
-// — the baseline for the parallel-sweep speedup (BENCH_parallel_sweep.json
-// compares this against BenchmarkFigure7Parallel4).
+// — the baseline BenchmarkFigure7Parallel4's speedup is read against.
 func BenchmarkFigure7Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Figure7Parallel(1); err != nil {
@@ -228,8 +227,8 @@ func BenchmarkRefreshAblation(b *testing.B) {
 // BenchmarkRun measures one full simulation per kernel × controller at
 // n=1024, plus long-stream (64K-element) variants at the scale a
 // downstream sweep would run. These are the hot-path numbers the
-// event-driven core refactor is pinned against (docs/PERFORMANCE.md,
-// BENCH_core_speed.json).
+// event-driven core refactor is pinned against (docs/PERFORMANCE.md;
+// TestSimulateAllocBudget gates the allocation counts).
 func BenchmarkRun(b *testing.B) {
 	controllers := []struct {
 		name string
@@ -325,7 +324,7 @@ func BenchmarkSMCLongVector(b *testing.B) {
 // --- telemetry overhead benchmarks ---
 
 // benchTelemetryScenario is the canonical daxpy/SMC/PI/fifo-128 scenario
-// the telemetry overhead numbers (BENCH_telemetry.json) are quoted for.
+// the telemetry overhead micro-benchmarks run.
 func benchTelemetryScenario() rdramstream.Scenario {
 	return rdramstream.Scenario{
 		KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,

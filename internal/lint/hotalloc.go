@@ -10,9 +10,9 @@ import (
 // `rdlint:hotpath` in its doc comment (the device per-access path, the
 // SMC issue loop, the engine front-end, the trace-replay inner loop)
 // may not contain allocating constructs. The event-driven core refactor
-// pinned the long-vector benchmark at a fixed allocation count
-// (BENCH_core_speed.json); this analyzer turns that number from a
-// benchmark regression into a review-time lint error. Flagged
+// pinned the long-vector run at a fixed allocation count
+// (TestSimulateAllocBudget); this analyzer turns that number from a
+// test failure into a review-time lint error. Flagged
 // constructs: go and defer statements, function literals that escape,
 // interface conversions (boxing) at call arguments, assignments and
 // returns, make/new and map or slice literals, append to an un-presized

@@ -39,8 +39,8 @@ const maxSpansPerTrace = 256
 // SpanRecord is one recorded stage span, in microseconds relative to the
 // trace's start so records are compact and self-aligned.
 //
-// rdlint:wire — span records are served by GET /v1/requests/{id} and
-// exported by cmd/rdload; their field names are part of the wire format.
+// rdlint:wire — span records are served by GET /v1/requests/{id}; their
+// field names are part of the wire format.
 type SpanRecord struct {
 	Stage string `json:"stage"`
 	// StartUS and EndUS are microseconds since the trace started.

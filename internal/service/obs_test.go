@@ -200,6 +200,18 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Mixed routes: a fresh trace (one miss) and a sweep of the cached
+	// scenario plus a fresh one (one hit, one miss) must leave the
+	// exposition as valid as simulate traffic alone does. The sweep's
+	// route counter is not asserted: the stream's summary line reaches
+	// the client before the handler returns and the counter is recorded.
+	_, accs := kvTrace(t)
+	if _, err := cl.Trace(context.Background(), traceScenario(), "kv", accs); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := cl.Sweep(context.Background(), []sim.Scenario{scenario(64), scenario(128)}, nil); err != nil || sum.Failed != 0 {
+		t.Fatalf("sweep summary %+v, err %v", sum, err)
+	}
 
 	text, err := cl.MetricsText(context.Background())
 	if err != nil {
@@ -210,11 +222,12 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE rd_cache_hits_total counter",
-		"rd_cache_hits_total 1",
-		"rd_cache_misses_total 1",
+		"rd_cache_hits_total 2",
+		"rd_cache_misses_total 3",
 		`rd_http_requests_total{code="200",route="POST /v1/simulate"} 2`,
+		`rd_http_requests_total{code="200",route="POST /v1/trace"} 1`,
 		"# TYPE rd_http_request_duration_us histogram",
-		`rd_stage_duration_us_bucket{stage="simulate",le="+Inf"} 1`,
+		`rd_stage_duration_us_bucket{stage="simulate",le="+Inf"} 3`,
 		"rd_workers_configured 2",
 		`rd_sim_stall_cycles_total{cause=`,
 	} {
@@ -229,8 +242,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-		t.Errorf("JSON view = %+v, want 1 hit + 1 miss", m.Cache)
+	if m.Cache.Hits != 2 || m.Cache.Misses != 3 {
+		t.Errorf("JSON view = %+v, want 2 hits + 3 misses", m.Cache)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -132,3 +132,48 @@ func TestGoldenParity(t *testing.T) {
 		})
 	}
 }
+
+// TestConventionalGoldenParity pins the registered "conventional"
+// controller on the golden scenario shape: its Cycles and full device
+// counters per kernel × scheme, plus functional verification (the write
+// transactions must carry the kernel's store values).
+func TestConventionalGoldenParity(t *testing.T) {
+	goldens := []struct {
+		kernel, scheme string
+		cycles         int64
+		device         string
+	}{
+		{"copy", "CLI", 2830, "act=256 pre=256 rd=256 wr=256 hit=256 miss=256 conflict=0 ret=127 refresh=0 busBusy=2048 lastData=2830"},
+		{"copy", "PI", 2830, "act=8 pre=0 rd=256 wr=256 hit=504 miss=8 conflict=0 ret=127 refresh=0 busBusy=2048 lastData=2830"},
+		{"daxpy", "CLI", 6414, "act=384 pre=384 rd=512 wr=256 hit=384 miss=384 conflict=0 ret=127 refresh=0 busBusy=3072 lastData=6414"},
+		{"daxpy", "PI", 3854, "act=8 pre=0 rd=512 wr=256 hit=760 miss=8 conflict=0 ret=127 refresh=0 busBusy=3072 lastData=3854"},
+		{"hydro", "CLI", 10814, "act=514 pre=514 rd=772 wr=256 hit=514 miss=514 conflict=0 ret=128 refresh=0 busBusy=4112 lastData=10814"},
+		{"hydro", "PI", 4900, "act=13 pre=5 rd=772 wr=256 hit=1015 miss=13 conflict=5 ret=128 refresh=0 busBusy=4112 lastData=4900"},
+		{"vaxpy", "CLI", 7438, "act=512 pre=512 rd=768 wr=256 hit=512 miss=512 conflict=0 ret=127 refresh=0 busBusy=4096 lastData=7438"},
+		{"vaxpy", "PI", 4890, "act=12 pre=4 rd=768 wr=256 hit=1012 miss=12 conflict=4 ret=127 refresh=0 busBusy=4096 lastData=4890"},
+	}
+	for _, g := range goldens {
+		t.Run(g.kernel+"/"+g.scheme, func(t *testing.T) {
+			sc := Scenario{
+				KernelName: g.kernel, N: 512, Controller: "conventional",
+				Placement: stream.Staggered, FIFODepth: 32, Seed: 7,
+			}
+			if g.scheme == "PI" {
+				sc.Scheme = addrmap.PI
+			}
+			out, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Verified {
+				t.Error("result not verified")
+			}
+			if out.Cycles != g.cycles {
+				t.Errorf("Cycles = %d, golden %d", out.Cycles, g.cycles)
+			}
+			if got := out.Device.String(); got != g.device {
+				t.Errorf("Device = %s\n golden   %s", got, g.device)
+			}
+		})
+	}
+}

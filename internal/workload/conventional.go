@@ -50,45 +50,21 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 	// Phase 2: timed replay at line granularity in program order, each
 	// stream filtered through its own one-line buffer, transactions
 	// admitted as fast as the pipeline window allows.
-	autoPre := opt.Scheme == addrmap.CLI
-	window := engine.NewWindow(outstanding)
+	ti := &traceIssuer{
+		dev:       dev,
+		mapper:    mapper,
+		window:    engine.NewWindow(outstanding),
+		lineWords: opt.LineWords,
+		packets:   opt.LineWords / rdram.WordsPerPacket,
+		autoPre:   opt.Scheme == addrmap.CLI,
+		stores:    storeVals,
+	}
 	lw := int64(opt.LineWords)
-	packets := opt.LineWords / rdram.WordsPerPacket
 	lines := make([]int64, len(k.Streams))
 	for i := range lines {
 		lines[i] = -1
 	}
 	nr := k.ReadStreams()
-	doLine := func(line int64, write bool) error {
-		at := window.Admit(0)
-		base := line * lw
-		var complete int64
-		for p := 0; p < packets; p++ {
-			addr := base + int64(p*rdram.WordsPerPacket)
-			loc := mapper.Map(addr)
-			req := rdram.Request{
-				Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-				Write:         write,
-				AutoPrecharge: autoPre && p == packets-1,
-			}
-			if write {
-				for w := 0; w < rdram.WordsPerPacket; w++ {
-					if v, ok := storeVals[addr+int64(w)]; ok {
-						req.Data[w] = v
-					} else {
-						req.Data[w] = engine.Peek(dev, mapper, addr+int64(w))
-					}
-				}
-			}
-			res, err := engine.Issue(dev, at, req)
-			if err != nil {
-				return err
-			}
-			complete = res.DataEnd
-		}
-		window.Complete(complete)
-		return nil
-	}
 	for i := 0; i < k.Iterations(); i++ {
 		for s := range k.Streams {
 			line := k.Streams[s].Addr(i) / lw
@@ -96,7 +72,7 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 				continue
 			}
 			lines[s] = line
-			if err := doLine(line, s >= nr); err != nil {
+			if err := ti.issue(txn{line: line, write: s >= nr}); err != nil {
 				return engine.Result{}, err
 			}
 		}

@@ -186,9 +186,10 @@ type txn struct {
 	write bool
 }
 
-// traceIssuer carries the per-transaction replay state so the inner
-// loop is a named method the allocation lint can police, instead of a
-// closure.
+// traceIssuer carries the per-transaction issue state of both
+// line-granularity controllers, trace replay and "conventional", so the
+// inner loop is a named method the allocation lint can police, instead
+// of a closure.
 type traceIssuer struct {
 	dev       *rdram.Device
 	mapper    *addrmap.Mapper
@@ -196,6 +197,10 @@ type traceIssuer struct {
 	lineWords int
 	packets   int
 	autoPre   bool
+	// stores, when non-nil, supplies write data: the kernel's stored
+	// value for each word it wrote, current device contents otherwise.
+	// Nil for trace replay, whose writes carry no data.
+	stores map[int64]uint64
 }
 
 // issue services one line transaction packet by packet: admit into the
@@ -209,12 +214,24 @@ func (ti *traceIssuer) issue(t txn) error {
 	base := t.line * int64(ti.lineWords)
 	var complete int64
 	for p := 0; p < ti.packets; p++ {
-		loc := ti.mapper.Map(base + int64(p*rdram.WordsPerPacket))
-		res, err := engine.Issue(ti.dev, at, rdram.Request{
+		addr := base + int64(p*rdram.WordsPerPacket)
+		loc := ti.mapper.Map(addr)
+		req := rdram.Request{
 			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
 			Write:         t.write,
 			AutoPrecharge: ti.autoPre && p == ti.packets-1,
-		})
+		}
+		if t.write && ti.stores != nil {
+			for w := range req.Data {
+				a := addr + int64(w)
+				if v, ok := ti.stores[a]; ok {
+					req.Data[w] = v
+				} else {
+					req.Data[w] = engine.Peek(ti.dev, ti.mapper, a)
+				}
+			}
+		}
+		res, err := engine.Issue(ti.dev, at, req)
 		if err != nil {
 			return err
 		}

@@ -99,3 +99,52 @@ func TestFacadeNaturalOrderVsSMC(t *testing.T) {
 		t.Errorf("SMC %.1f%% should beat natural order %.1f%%", s.PercentPeak, n.PercentPeak)
 	}
 }
+
+// TestSimulateAllocBudget pins the steady-state heap allocations of one
+// Simulate call once the per-run scratch pools are warm. The ceilings are
+// the counts of the event-driven core; the long vector's 24 is the core's
+// allocation budget. Wall time is gated by the benchmark harness
+// (BENCHMARK.json); allocation counts are exact, so they gate here.
+func TestSimulateAllocBudget(t *testing.T) {
+	cases := []struct {
+		name string
+		sc   rdramstream.Scenario
+		max  float64
+	}{
+		{"copy n=1024 CLI SMC fifo 128", rdramstream.Scenario{
+			KernelName: "copy", N: 1024, Scheme: rdramstream.CLI,
+			Mode: rdramstream.SMC, FIFODepth: 128,
+			Placement: rdramstream.Staggered, SkipVerify: true,
+		}, 22},
+		{"daxpy n=1024 PI natural", rdramstream.Scenario{
+			KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,
+			Mode:      rdramstream.NaturalOrder,
+			Placement: rdramstream.Staggered, SkipVerify: true,
+		}, 33},
+		{"daxpy n=65536 PI SMC fifo 128", rdramstream.Scenario{
+			KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI,
+			Mode: rdramstream.SMC, FIFODepth: 128,
+			Placement: rdramstream.Staggered, SkipVerify: true,
+		}, 24},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := rdramstream.Simulate(c.sc); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, e := rdramstream.Simulate(c.sc); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs > c.max {
+				t.Errorf("%.0f allocs per Simulate, budget %.0f", allocs, c.max)
+			}
+			t.Logf("%.0f allocs per Simulate (budget %.0f)", allocs, c.max)
+		})
+	}
+}
