@@ -15,30 +15,53 @@ func Peek(dev *rdram.Device, m *addrmap.Mapper, addr int64) uint64 {
 	return dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
 }
 
-// StoreValues functionally executes the kernel over a shadow of device
-// memory and returns every word it stores — the data a timing controller
-// transmits on its write transactions. Reads hit the shadow first so
+// StoreValues functionally executes the kernel over device memory and
+// returns every word it stores — the data a timing controller transmits
+// on its write transactions. Loads read the stored values first, so
 // loop-carried values are seen; unwritten addresses read current device
-// contents.
+// contents. On a timing-only device (rdram.Device.TimingOnly) nothing the
+// kernel computes would be kept, so StoreValues does no work and returns
+// nil; PacketData then yields zero packets.
 func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) map[int64]uint64 {
+	if dev.TimingOnly() {
+		return nil
+	}
 	// At most iterations × write-streams distinct words are stored; sizing
-	// the maps up front avoids rehash churn on long streams.
-	n := k.Iterations() * (len(k.Streams) - k.ReadStreams())
-	shadow := make(map[int64]uint64, n)
-	vals := make(map[int64]uint64, n)
+	// the map up front avoids rehash churn on long streams.
+	vals := make(map[int64]uint64, k.Iterations()*k.WriteStreams())
 	k.Replay(
 		func(addr int64) uint64 {
-			if v, ok := shadow[addr]; ok {
+			if v, ok := vals[addr]; ok {
 				return v
 			}
 			return Peek(dev, m, addr)
 		},
-		func(addr int64, v uint64) {
-			shadow[addr] = v
-			vals[addr] = v
-		},
+		func(addr int64, v uint64) { vals[addr] = v },
 	)
 	return vals
+}
+
+// PacketData gathers the write data of the packet starting at word
+// address addr: each word's value in stores, else current device
+// contents (read-merge of words the kernel never stores). Nil stores — a
+// timing-only run, or a trace replay, whose writes carry no data — give a
+// zero packet.
+//
+// rdlint:hotpath
+func PacketData(dev *rdram.Device, m *addrmap.Mapper, stores map[int64]uint64, addr int64) [rdram.WordsPerPacket]uint64 {
+	var data [rdram.WordsPerPacket]uint64
+	if stores == nil {
+		return data
+	}
+	for w := range data {
+		a := addr + int64(w)
+		if v, ok := stores[a]; ok {
+			data[w] = v
+		} else {
+			data[w] = Peek(dev, m, a)
+		}
+	}
+	return data
 }
 
 // Attach wires a telemetry collector to the device and declares the

@@ -9,8 +9,9 @@
 //     accesses in natural order at one element per t_PACK/w_p cycles;
 //   - the outstanding-transaction pipeline window (Window) of the
 //     conventional controllers;
-//   - functional helpers (Peek, StoreValues) for reading device storage
-//     and computing a kernel's store image;
+//   - functional helpers (Peek, StoreValues, PacketData) for reading
+//     device storage, computing a kernel's store image, and gathering a
+//     write packet's data;
 //   - the telemetry attachment point (Attach), so any controller built on
 //     the engine gets stall attribution without touching device internals;
 //   - a registry of named controllers (Register/Lookup), the extension

@@ -20,7 +20,10 @@
 // The simulation runs in two phases: a functional phase computes every
 // store value with the kernel's golden semantics, then a timing phase
 // replays the cacheline transactions against the device, writing those
-// values, so the device's memory image afterwards is exact.
+// values, so the device's memory image afterwards is exact. A timing-only
+// device keeps no data, so there the functional phase is skipped and the
+// stores carry zeros; data never influences timing, so the cycle counts
+// are the same.
 package natorder
 
 import (
@@ -145,8 +148,8 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 	// previous iteration's operands, not on an absent request stream.
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallDependency)
 
-	// Phase 1: functional execution over a shadow of device memory,
-	// recording every store value.
+	// Phase 1: functional execution over device memory, recording every
+	// store value (skipped on a timing-only device).
 	storeVals := engine.StoreValues(dev, mapper, k)
 
 	// Phase 2: timed replay of the cacheline transactions in natural
@@ -320,7 +323,10 @@ func (s *sim) fetchLine(line, at int64, autoPre bool, dst []int64) ([]int64, err
 
 // writeLine transmits a full cacheline of store data. Words the kernel
 // never stores keep their prior memory contents (read-merge, free of
-// charge, as in the paper's line-granularity store model).
+// charge, as in the paper's line-granularity store model). storeVals is
+// nil on a timing-only device, and the line then carries zeros.
+//
+// rdlint:hotpath
 func (s *sim) writeLine(line, at int64, autoPre bool, storeVals map[int64]uint64) error {
 	at = s.window.Admit(at)
 	packets := s.cfg.LineWords / rdram.WordsPerPacket
@@ -329,17 +335,9 @@ func (s *sim) writeLine(line, at int64, autoPre bool, storeVals map[int64]uint64
 	for p := 0; p < packets; p++ {
 		addr := base + int64(p*rdram.WordsPerPacket)
 		loc := s.mapper.Map(addr)
-		var data [rdram.WordsPerPacket]uint64
-		for w := 0; w < rdram.WordsPerPacket; w++ {
-			if v, ok := storeVals[addr+int64(w)]; ok {
-				data[w] = v
-			} else {
-				data[w] = engine.Peek(s.dev, s.mapper, addr+int64(w))
-			}
-		}
 		res, err := engine.Issue(s.dev, at, rdram.Request{
 			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-			Write: true, Data: data,
+			Write: true, Data: engine.PacketData(s.dev, s.mapper, storeVals, addr),
 			AutoPrecharge: autoPre && p == packets-1,
 		})
 		if err != nil {

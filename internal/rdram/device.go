@@ -605,6 +605,11 @@ func (d *Device) pageSlot(bank, row int) []uint64 {
 // memory image is never inspected.
 func (d *Device) SetTimingOnly(on bool) { d.noStore = on }
 
+// TimingOnly reports whether the functional store is disabled (see
+// SetTimingOnly). Controllers skip their functional phase on such a
+// device: no data it would compute is ever kept.
+func (d *Device) TimingOnly() bool { return d.noStore }
+
 // UsePagePool routes this device's page-slot allocations through pool.
 // It must be attached before the first access; the pool is not safe for
 // concurrent use, so share one only between devices driven by the same

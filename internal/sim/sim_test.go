@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -152,6 +153,35 @@ func TestSkipVerify(t *testing.T) {
 	}
 	if out.Verified {
 		t.Error("Verified should be false when skipped")
+	}
+}
+
+// TestWrongArityComputeRejected runs a copy kernel whose Compute returns
+// 0 or 2 values through the natural-order and SMC controllers, verified
+// and timing-only: every run must fail with an error, not panic or pass.
+func TestWrongArityComputeRejected(t *testing.T) {
+	for _, mode := range []Mode{NaturalOrder, SMC} {
+		for _, skip := range []bool{false, true} {
+			for _, n := range []int{0, 2} {
+				t.Run(fmt.Sprintf("%s/skip=%v/%d", mode, skip, n), func(t *testing.T) {
+					sc := Scenario{KernelName: "copy", N: 64, Mode: mode, Placement: stream.Staggered, SkipVerify: skip}
+					k, err := BuildKernel(sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					k.Compute = func(int, []float64) []float64 { return make([]float64, n) }
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panicked: %v", r)
+						}
+					}()
+					want := fmt.Sprintf("returned %d values, want 1", n)
+					if _, err := RunKernel(k, sc); err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("RunKernel error = %v, want one containing %q", err, want)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -70,15 +70,20 @@ type Kernel struct {
 	Streams []Stream
 	// Compute maps the iteration index and the values read (one per read
 	// stream, in stream order) to the values to write (one per write
-	// stream, in stream order). It must be free of side effects. The
-	// returned slice may be reused by the kernel across calls, so callers
-	// must copy the values out before invoking Compute again.
+	// stream, in stream order). It must be free of side effects, and in
+	// particular must not modify in. The returned slice may be reused by
+	// the kernel across calls, so callers must copy the values out before
+	// invoking Compute again.
 	Compute func(i int, in []float64) []float64
 }
 
 // Validate checks the well-formedness invariants the analytic models and
 // simulators rely on: at least one stream, equal lengths, positive strides,
-// reads listed before writes, and at least one read stream.
+// reads listed before writes, and a Compute that returns one value per
+// write stream. The arity is probed with one side-effect-free call at
+// iteration 0 on zero inputs, so a wrong-arity kernel fails here with an
+// error on every controller, including timing-only runs that never call
+// Compute otherwise.
 func (k *Kernel) Validate() error {
 	if len(k.Streams) == 0 {
 		return fmt.Errorf("stream: kernel %q has no streams", k.Name)
@@ -108,8 +113,22 @@ func (k *Kernel) Validate() error {
 	if k.Compute == nil {
 		return fmt.Errorf("stream: kernel %q has no Compute function", k.Name)
 	}
+	if n > 0 {
+		in := probeInputs[:]
+		if reads > len(in) {
+			in = make([]float64, reads)
+		}
+		if got := len(k.Compute(0, in[:reads:reads])); got != len(k.Streams)-reads {
+			return fmt.Errorf("stream: kernel %q Compute returned %d values, want %d", k.Name, got, len(k.Streams)-reads)
+		}
+	}
 	return nil
 }
+
+// probeInputs is the zero input Validate's arity probe shares across
+// kernels, so validating a run allocates nothing; Compute never writes
+// its input (it is free of side effects).
+var probeInputs [16]float64
 
 // Iterations is the number of inner-loop iterations (the common stream
 // length).

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -77,6 +79,51 @@ func TestValidateRejects(t *testing.T) {
 		if err := k.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
 		}
+	}
+}
+
+// TestValidateComputeArity pins the Compute probe: a Compute returning
+// the wrong number of values is rejected with an error, the probe sees
+// one zero input per read stream (also past the shared probe buffer),
+// and a kernel with no iterations is not probed.
+func TestValidateComputeArity(t *testing.T) {
+	for _, n := range []int{0, 2} {
+		k := Copy(0, 100, 8, 1)
+		k.Compute = func(int, []float64) []float64 { return make([]float64, n) }
+		err := k.Validate()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("returned %d values, want 1", n)) {
+			t.Errorf("Compute returning %d values: Validate = %v", n, err)
+		}
+	}
+	for _, reads := range []int{1, 7, 40} {
+		bases := make([]int64, reads+1)
+		for i := range bases {
+			bases[i] = int64(i) * 100
+		}
+		k := MultiStream(reads, 1, bases, 8, 1)
+		inner := k.Compute
+		var probed []float64
+		k.Compute = func(i int, in []float64) []float64 {
+			probed = append([]float64(nil), in...)
+			return inner(i, in)
+		}
+		if err := k.Validate(); err != nil {
+			t.Errorf("%d reads: %v", reads, err)
+		}
+		if len(probed) != reads {
+			t.Errorf("%d reads: probe input has %d values", reads, len(probed))
+		}
+		for _, v := range probed {
+			if v != 0 {
+				t.Errorf("%d reads: probe input %v, want zeros", reads, probed)
+				break
+			}
+		}
+	}
+	empty := Copy(0, 100, 0, 1)
+	empty.Compute = func(int, []float64) []float64 { t.Error("zero-iteration kernel probed"); return nil }
+	if err := empty.Validate(); err != nil {
+		t.Errorf("zero-iteration kernel: %v", err)
 	}
 }
 

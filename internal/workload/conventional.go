@@ -44,7 +44,8 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 	engine.Attach(dev, opt.Telemetry, telemetry.StallNoRequest)
 
 	// Phase 1: functional execution, recording every store value so the
-	// device image is exact and callers can verify the computation.
+	// device image is exact and callers can verify the computation
+	// (skipped on a timing-only device, which keeps no data).
 	storeVals := engine.StoreValues(dev, mapper, k)
 
 	// Phase 2: timed replay at line granularity in program order, each

@@ -197,9 +197,10 @@ type traceIssuer struct {
 	lineWords int
 	packets   int
 	autoPre   bool
-	// stores, when non-nil, supplies write data: the kernel's stored
-	// value for each word it wrote, current device contents otherwise.
-	// Nil for trace replay, whose writes carry no data.
+	// stores supplies write data through engine.PacketData: the kernel's
+	// stored value for each word it wrote, current device contents
+	// otherwise. Nil for trace replay, whose writes carry no data, and
+	// for a timing-only "conventional" run.
 	stores map[int64]uint64
 }
 
@@ -221,15 +222,8 @@ func (ti *traceIssuer) issue(t txn) error {
 			Write:         t.write,
 			AutoPrecharge: ti.autoPre && p == ti.packets-1,
 		}
-		if t.write && ti.stores != nil {
-			for w := range req.Data {
-				a := addr + int64(w)
-				if v, ok := ti.stores[a]; ok {
-					req.Data[w] = v
-				} else {
-					req.Data[w] = engine.Peek(ti.dev, ti.mapper, a)
-				}
-			}
+		if t.write {
+			req.Data = engine.PacketData(ti.dev, ti.mapper, ti.stores, addr)
 		}
 		res, err := engine.Issue(ti.dev, at, req)
 		if err != nil {
